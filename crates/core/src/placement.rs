@@ -1,8 +1,7 @@
 //! The joint monitor-activation and sampling-rate optimizer.
 
 use crate::{
-    build_problem, CoreError, MeasurementTask, ParallelConfig, PlacementObjective, RateModel,
-    ReducedIndex, Utility,
+    build_problem, CoreError, MeasurementTask, PlacementObjective, RateModel, ReducedIndex, Utility,
 };
 use nws_linalg::Vector;
 use nws_obs::Recorder;
@@ -22,12 +21,6 @@ pub struct PlacementConfig {
     pub rate_model: RateModel,
     /// Underlying solver options (iteration cap 2000 etc.).
     pub solver: SolverOptions,
-    /// Objective-evaluation fan-out (default: serial). With `threads != 1`
-    /// the objective attaches a shared persistent worker pool
-    /// ([`crate::EvalPool`]) sized to `min(requested, cores)`; tiny
-    /// instances below the nnz cutoff stay serial regardless. See
-    /// [`ParallelConfig`].
-    pub parallel: ParallelConfig,
 }
 
 /// Marks a solution the solver could not certify: the rates are feasible
@@ -116,8 +109,8 @@ pub fn solve_placement(
 }
 
 /// [`solve_placement`] with observability: the objective and solver record
-/// phase spans, iteration counters and evaluation fan-out metrics into
-/// `rec`. With a disabled recorder this is exactly [`solve_placement`].
+/// phase spans, iteration counters and evaluation counters into `rec`.
+/// With a disabled recorder this is exactly [`solve_placement`].
 ///
 /// # Errors
 /// As for [`solve_placement`].
@@ -127,9 +120,8 @@ pub fn solve_placement_observed(
     rec: &Recorder,
 ) -> Result<PlacementSolution, CoreError> {
     let index = ReducedIndex::new(task);
-    let objective = PlacementObjective::new(task, &index, config.rate_model)
-        .with_parallel(config.parallel)
-        .with_recorder(rec.clone());
+    let objective =
+        PlacementObjective::new(task, &index, config.rate_model).with_recorder(rec.clone());
     let problem = build_problem(task, &index)?;
     let solver = Solver::new(config.solver);
     let sol = solver.maximize_observed(&objective, &problem, rec)?;
@@ -242,9 +234,8 @@ pub fn solve_placement_warm_observed(
         start = problem.feasible_start();
     }
 
-    let objective = PlacementObjective::new(task, &index, config.rate_model)
-        .with_parallel(config.parallel)
-        .with_recorder(rec.clone());
+    let objective =
+        PlacementObjective::new(task, &index, config.rate_model).with_recorder(rec.clone());
     let solver = Solver::new(config.solver);
     let sol = solver.maximize_from_observed(&objective, &problem, start, rec)?;
     Ok(finish_solution(task, &index, sol))

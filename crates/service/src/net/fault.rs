@@ -25,6 +25,7 @@
 //! `(plan seed, accept index)`, so the fault pattern a connection sees
 //! does not depend on how many neighbours were accepted around it.
 
+use nws_store::splitmix64;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -96,13 +97,6 @@ impl NetFaultPlan {
     pub(crate) fn delay(&self) -> Duration {
         Duration::from_millis(self.delay_ms)
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Distinguishes the three operation lanes in the hash input, so the

@@ -73,7 +73,11 @@ impl FaultPlan {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+/// The splitmix64 finalizer: a seeded, stateless 64-bit mix. Every seeded
+/// schedule in the workspace (store and socket fault plans, client retry
+/// jitter) draws from this one function, so a seed means the same thing
+/// everywhere.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

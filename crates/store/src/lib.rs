@@ -16,8 +16,8 @@
 //!   returns the WAL suffix after it for the caller to replay, and
 //!   *truncates* the log at the first torn or corrupt record instead of
 //!   failing (a torn tail is the expected artifact of a crash mid-append).
-//! - **Locking** — a `LOCK` file carrying the owner PID, with stale-lock
-//!   detection by PID liveness, so two daemons can never silently
+//! - **Locking** — a kernel-held exclusive lock on a `LOCK` file, released
+//!   when the holder exits or dies, so two daemons can never silently
 //!   interleave appends into one directory (see [`lock`]).
 //! - **Fsync policy** — [`FsyncPolicy`] trades durability against append
 //!   latency: `always` syncs every append, `every-N` amortizes, `never`
@@ -39,7 +39,7 @@ pub mod io;
 pub mod lock;
 mod store;
 
-pub use fault::{FaultKind, FaultPlan, FaultyIo};
+pub use fault::{splitmix64, FaultKind, FaultPlan, FaultyIo};
 pub use io::{Io, IoFile, RealIo};
 pub use store::{Recovery, Store, StoreOptions, WalStats};
 

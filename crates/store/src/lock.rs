@@ -1,128 +1,75 @@
-//! PID-carrying lockfiles with liveness-based stale detection.
+//! Kernel-held directory locks.
 //!
 //! The daemon must never let two processes interleave appends into one
-//! state directory. A `LOCK` file holding the owner's PID provides mutual
-//! exclusion; a lock whose PID is no longer alive (the previous daemon
-//! crashed) is *stale* and silently reclaimed — crash recovery must not
-//! require manual lockfile cleanup.
+//! state directory. Mutual exclusion is an exclusive advisory lock
+//! ([`File::try_lock`], `flock(2)` on Linux) on a `LOCK` file: the kernel
+//! arbitrates racers atomically and drops the lock when the holder's file
+//! is closed, including when the process dies, so a crashed daemon never
+//! leaves a lock that needs manual cleanup. The file also carries the
+//! holder's PID, read only for the [`StoreError::Locked`] message.
 
-use std::fs;
+use std::fs::{self, File, TryLockError};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::StoreError;
 
 /// File name of the lock inside a state directory.
 pub const LOCK_FILE: &str = "LOCK";
 
-/// A held directory lock; releases (deletes the lockfile) on drop.
+/// A held directory lock; the kernel releases it when this drops.
+///
+/// The `LOCK` file itself stays behind: unlinking a locked file would let a
+/// racer lock the orphaned inode while a third process locks a new file
+/// under the same name.
 #[derive(Debug)]
 pub struct DirLock {
-    path: PathBuf,
-    pid: u32,
-}
-
-/// Whether a process with `pid` is currently alive.
-///
-/// Uses `/proc/<pid>` existence, which is the portable-enough answer on
-/// the Linux targets this workspace supports. The calling process itself
-/// always counts as alive.
-pub fn pid_alive(pid: u32) -> bool {
-    pid == std::process::id() || Path::new(&format!("/proc/{pid}")).exists()
+    _file: File,
 }
 
 impl DirLock {
-    /// Acquires the lock for `dir`, reclaiming a stale one.
-    ///
-    /// Creation uses `O_EXCL`, and a stale lock is reclaimed by *renaming*
-    /// it aside before retrying — the rename is the atomic arbiter, so two
-    /// daemons racing to reclaim the same dead lock cannot both win (only
-    /// one rename of the same source succeeds). After creating its own
-    /// lockfile the winner re-reads it and verifies its own PID, guarding
-    /// against a third racer that overwrote the file in the window.
+    /// Acquires the lock for `dir`.
     ///
     /// # Errors
-    /// [`StoreError::Locked`] when a live process (including this one,
-    /// via an earlier store instance) holds the lock; [`StoreError::Io`]
-    /// on filesystem failures or when the race cannot be settled.
+    /// [`StoreError::Locked`] when another open lock holds it — another
+    /// process, or this one through an earlier store instance;
+    /// [`StoreError::Io`] on filesystem failures.
     pub fn acquire(dir: &Path) -> Result<DirLock, StoreError> {
         let path = dir.join(LOCK_FILE);
-        let pid = std::process::id();
-        // Bounded: each retry means another process made visible progress
-        // (created or reclaimed a lock); 16 rounds of that without a
-        // settled outcome is churn worth surfacing, not spinning through.
-        for _ in 0..16 {
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut file) => {
-                    writeln!(file, "{pid}")
-                        .and_then(|()| file.sync_all())
-                        .map_err(|e| {
-                            StoreError::io(format!("write lockfile {}", path.display()), e)
-                        })?;
-                    // Verify ownership: another racer may have treated our
-                    // half-written file as stale and replaced it.
-                    let content = fs::read_to_string(&path).unwrap_or_default();
-                    if content.trim().parse::<u32>() == Ok(pid) {
-                        return Ok(DirLock { path, pid });
-                    }
-                    continue;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
-                Err(e) => {
-                    return Err(StoreError::io(
-                        format!("create lockfile {}", path.display()),
-                        e,
-                    ));
-                }
+        let io_err = |what: &str, e| StoreError::io(format!("{what} {}", path.display()), e);
+        let mut file = fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)
+            .map_err(|e| io_err("open lockfile", e))?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => {
+                // Until the holder writes its PID the file is empty (0) or
+                // still names the previous holder; it only labels the error.
+                let pid = fs::read_to_string(&path)
+                    .ok()
+                    .and_then(|text| text.trim().parse().ok())
+                    .unwrap_or(0);
+                return Err(StoreError::Locked {
+                    pid,
+                    path: path.display().to_string(),
+                });
             }
-            // Lock exists. Live owner → refused; dead or garbage → stale.
-            let existing = match fs::read_to_string(&path) {
-                Ok(text) => text,
-                // Deleted between create_new and read: owner released; retry.
-                Err(_) => continue,
-            };
-            if let Ok(owner) = existing.trim().parse::<u32>() {
-                if pid_alive(owner) {
-                    return Err(StoreError::Locked {
-                        pid: owner,
-                        path: path.display().to_string(),
-                    });
-                }
-            }
-            // Reclaim by renaming the stale file aside: exactly one racer's
-            // rename succeeds, and that racer retries create_new above.
-            let grave = dir.join(format!("{LOCK_FILE}.stale.{pid}"));
-            if fs::rename(&path, &grave).is_ok() {
-                let _ = fs::remove_file(&grave);
-            }
+            Err(TryLockError::Error(e)) => return Err(io_err("lock lockfile", e)),
         }
-        Err(StoreError::io(
-            format!("acquire lockfile {}", path.display()),
-            std::io::Error::other("lockfile kept changing hands; giving up after 16 attempts"),
-        ))
-    }
-}
-
-impl Drop for DirLock {
-    fn drop(&mut self) {
-        // Only remove a lock we still own: if the content changed, a later
-        // process reclaimed it (we must have been declared dead — do not
-        // steal its lock back).
-        if let Ok(content) = fs::read_to_string(&self.path) {
-            if content.trim().parse::<u32>() == Ok(self.pid) {
-                let _ = fs::remove_file(&self.path);
-            }
-        }
+        file.set_len(0)
+            .and_then(|()| writeln!(file, "{}", std::process::id()))
+            .map_err(|e| io_err("write lockfile", e))?;
+        Ok(DirLock { _file: file })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("nws-store-lock-{tag}-{}", std::process::id()));
@@ -138,7 +85,9 @@ mod tests {
         let content = fs::read_to_string(dir.join(LOCK_FILE)).unwrap();
         assert_eq!(content.trim().parse::<u32>().unwrap(), std::process::id());
         drop(lock);
-        assert!(!dir.join(LOCK_FILE).exists());
+        // Release frees the lock; the file stays for the next holder.
+        assert!(dir.join(LOCK_FILE).exists());
+        drop(DirLock::acquire(&dir).expect("released lock is free"));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -176,8 +125,8 @@ mod tests {
     #[test]
     fn racing_reclaimers_of_one_stale_lock_produce_one_winner() {
         // Seed a dead lock, then race many threads to reclaim it. The
-        // rename-aside arbiter must let exactly one through; the rest see
-        // the winner's live PID and report Locked.
+        // kernel lock must let exactly one through; the rest see the
+        // winner's live PID and report Locked.
         let dir = temp_dir("race");
         fs::write(dir.join(LOCK_FILE), "4194303999\n").unwrap();
         let results: Vec<Result<DirLock, StoreError>> = std::thread::scope(|s| {
@@ -194,8 +143,8 @@ mod tests {
                 );
             }
         }
-        // The winner's lockfile carries this process's PID and no grave
-        // files linger from the rename-aside step.
+        // The winner's lockfile carries this process's PID and no other
+        // files appear beside it.
         let content = fs::read_to_string(dir.join(LOCK_FILE)).unwrap();
         assert_eq!(content.trim().parse::<u32>().unwrap(), std::process::id());
         let stragglers: Vec<String> = fs::read_dir(&dir)
@@ -210,14 +159,17 @@ mod tests {
 
     #[test]
     fn reclaim_after_owner_death_is_clean() {
-        // Repeated stale→reclaim cycles never accumulate grave files.
+        // Repeated stale→reclaim cycles never leave files beside LOCK.
         let dir = temp_dir("cycles");
         for _ in 0..5 {
             fs::write(dir.join(LOCK_FILE), "4194303999\n").unwrap();
             let lock = DirLock::acquire(&dir).unwrap();
             drop(lock);
-            assert!(!dir.join(LOCK_FILE).exists());
-            assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
+            let names: Vec<_> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            assert_eq!(names, [LOCK_FILE]);
         }
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -226,7 +178,7 @@ mod tests {
     fn drop_leaves_a_reclaimed_lock_alone() {
         let dir = temp_dir("reclaimed");
         let lock = DirLock::acquire(&dir).unwrap();
-        // Simulate another process having reclaimed the lock.
+        // Whatever the file names by now, drop never unlinks it.
         fs::write(dir.join(LOCK_FILE), "999999999\n").unwrap();
         drop(lock);
         assert!(dir.join(LOCK_FILE).exists());

@@ -487,7 +487,14 @@ mod tests {
             n.sort();
             n
         };
-        assert_eq!(names, vec![snapshot_name(2), segment_name(3)]);
+        assert_eq!(
+            names,
+            vec![
+                crate::lock::LOCK_FILE.to_string(),
+                snapshot_name(2),
+                segment_name(3)
+            ]
+        );
         let (_store, rec) = open(&dir);
         assert_eq!(rec.snapshot, Some((2, "STATE@2".into())));
         assert_eq!(rec.records, vec![(3, "c".into())]);
