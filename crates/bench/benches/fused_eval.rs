@@ -1,5 +1,5 @@
 //! Criterion: the fused single-pass evaluation kernel against the three
-//! separate kernels it replaces — the solver line-search/KKT hot path.
+//! separate kernels it replaces, and one line-search probe.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nws_core::scenarios::janet_task;
@@ -37,9 +37,12 @@ fn bench_fused(c: &mut Criterion) {
                 black_box(&g);
             })
         });
-        // Line-search probe shape: both directional derivatives, no gradient.
+        // One line-search probe: both directional derivatives at a trial
+        // step of a line restriction built once (the restricted kernel
+        // under the approximate model, the fused CSR kernel under exact).
+        let mut probe = obj.line_probe(&p, &s);
         group.bench_function(format!("fused_probe/{label}"), |b| {
-            b.iter(|| black_box(obj.derivatives_along(black_box(&p), black_box(&s))))
+            b.iter(|| black_box(probe(black_box(0.5))))
         });
     }
     group.finish();

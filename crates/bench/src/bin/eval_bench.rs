@@ -1,7 +1,9 @@
 //! Micro-benchmark of the objective-evaluation engine: `value`/`gradient`/
 //! `curvature_along`, the fused single-pass kernel vs the three separate
-//! kernels, the cost of a live observability recorder, plus solver
-//! end-to-end timings, on GEANT, Abilene, and a ~500-node random topology.
+//! kernels, one line-search probe through the objective's line restriction
+//! vs a fused CSR probe at the trial point, the cost of a live
+//! observability recorder, plus solver end-to-end timings, on GEANT,
+//! Abilene, and a ~500-node random topology.
 //!
 //! Dependency-free (`std::time::Instant` only); emits machine-readable JSON
 //! (default `BENCH_eval.json`) that `scripts/check_bench.py` validates and
@@ -54,6 +56,18 @@ struct FusedResult {
     fused_ms: f64,
 }
 
+struct ProbeResult {
+    name: String,
+    model: &'static str,
+    /// One `(φ', φ'')` probe as a fused CSR sweep at the trial point
+    /// `p + t·s` (copy, axpy, `eval_fused`).
+    csr_probe_ms: f64,
+    /// One probe of the line restriction, built once per search.
+    restricted_probe_ms: f64,
+    /// Building the line restriction (once per search).
+    setup_ms: f64,
+}
+
 struct SolverResult {
     name: String,
     num_ods: usize,
@@ -68,6 +82,12 @@ struct ObsResult {
     overhead_ratio: f64,
 }
 
+/// The median of `samples` (upper median for even lengths).
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    samples[samples.len() / 2]
+}
+
 /// Median wall time of `reps` calls to `f`, in milliseconds (one warmup).
 fn time_median_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     f(); // warmup
@@ -78,8 +98,14 @@ fn time_median_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
             t0.elapsed().as_secs_f64() * 1e3
         })
         .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
+    median(&mut samples)
+}
+
+fn model_name(model: RateModel) -> &'static str {
+    match model {
+        RateModel::Approximate => "approximate",
+        RateModel::Exact => "exact",
+    }
 }
 
 /// A low-rate evaluation point with some per-coordinate variation.
@@ -169,10 +195,7 @@ fn run_eval_case(case: &EvalCase, reps: usize) -> EvalResult {
     });
     EvalResult {
         name: case.name.clone(),
-        model: match case.model {
-            RateModel::Approximate => "approximate",
-            RateModel::Exact => "exact",
-        },
+        model: model_name(case.model),
         num_ods,
         nnz,
         dim,
@@ -206,12 +229,68 @@ fn run_fused_case(case: &EvalCase, reps: usize) -> FusedResult {
     });
     FusedResult {
         name: case.name.clone(),
-        model: match case.model {
-            RateModel::Approximate => "approximate",
-            RateModel::Exact => "exact",
-        },
+        model: model_name(case.model),
         separate_ms,
         fused_ms,
+    }
+}
+
+/// Times one Newton line-search probe two ways: through the objective's
+/// line restriction ([`Objective::line_probe`], set up once) and as a fused
+/// CSR sweep at a materialized trial point. Each sample evaluates a batch
+/// of probes at spread-out steps (above timer noise on the small cases);
+/// the two paths' samples interleave so host drift hits both alike.
+/// `probe_gain = csr_probe_ms / restricted_probe_ms`; CI gates it at
+/// `PROBE_FLOOR`.
+fn run_probe_case(case: &EvalCase, reps: usize) -> ProbeResult {
+    const BATCH: usize = 64;
+    let obj = &case.objective;
+    let dim = obj.dim();
+    let p = &case.point;
+    let s: Vector = (0..dim)
+        .map(|v| if v % 2 == 0 { 1.0 } else { -0.5 })
+        .collect();
+    let steps: Vec<f64> = (0..BATCH).map(|i| 1e-4 * i as f64).collect();
+    let mut trial = p.clone();
+    let mut probe = obj.line_probe(p, &s);
+    let mut restricted = || {
+        let t0 = Instant::now();
+        for &t in &steps {
+            black_box(probe(black_box(t)));
+        }
+        t0.elapsed().as_secs_f64() * 1e3 / BATCH as f64
+    };
+    let mut csr = || {
+        let t0 = Instant::now();
+        for &t in &steps {
+            trial.copy_from(p);
+            trial.axpy(black_box(t), &s);
+            black_box(obj.eval_fused(&trial, Some(&s), None));
+        }
+        t0.elapsed().as_secs_f64() * 1e3 / BATCH as f64
+    };
+    restricted(); // warmup
+    csr();
+    let mut r_samples = Vec::with_capacity(reps);
+    let mut c_samples = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        r_samples.push(restricted());
+        c_samples.push(csr());
+    }
+    // Hands the objective's scratch back, so the set-up timing reuses it
+    // as a solve's later searches do.
+    drop(probe);
+    // Building and dropping a restriction: the per-search overhead.
+    let setup_ms = time_median_ms(reps, || {
+        let restriction = black_box(obj.line_probe(black_box(p), black_box(&s)));
+        drop(restriction);
+    });
+    ProbeResult {
+        name: case.name.clone(),
+        model: model_name(case.model),
+        csr_probe_ms: median(&mut c_samples),
+        restricted_probe_ms: median(&mut r_samples),
+        setup_ms,
     }
 }
 
@@ -294,10 +373,8 @@ fn run_obs_overhead(
         d_samples.push(sample(disabled));
         e_samples.push(sample(enabled));
     }
-    d_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    e_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let disabled_ms = d_samples[d_samples.len() / 2];
-    let enabled_ms = e_samples[e_samples.len() / 2];
+    let disabled_ms = median(&mut d_samples);
+    let enabled_ms = median(&mut e_samples);
     ObsResult {
         disabled_ms,
         enabled_ms,
@@ -309,6 +386,7 @@ fn render_json(
     quick: bool,
     evals: &[EvalResult],
     fused: &[FusedResult],
+    probes: &[ProbeResult],
     solvers: &[SolverResult],
     obs: &ObsResult,
 ) -> String {
@@ -352,6 +430,21 @@ fn render_json(
         ));
     }
     out.push_str("  ],\n");
+    out.push_str("  \"line_probe\": [\n");
+    for (i, p) in probes.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"name\": \"{}\", \"model\": \"{}\", \"csr_probe_ms\": {:.6}, \
+             \"restricted_probe_ms\": {:.6}, \"setup_ms\": {:.6}, \"probe_gain\": {:.6}}}{}\n",
+            p.name,
+            p.model,
+            p.csr_probe_ms,
+            p.restricted_probe_ms,
+            p.setup_ms,
+            p.csr_probe_ms / p.restricted_probe_ms,
+            if i + 1 < probes.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ],\n");
     out.push_str("  \"solver_cases\": [\n");
     for (i, s) in solvers.iter().enumerate() {
         out.push_str(&format!(
@@ -380,7 +473,7 @@ fn main() {
 
     let t0 = banner(
         "eval_bench",
-        "objective-evaluation engine: kernels, fusion, obs overhead, solver end-to-end",
+        "objective-evaluation engine: kernels, fusion, line probes, obs overhead, solver end-to-end",
     );
     let reps = if quick { 3 } else { 7 };
     let (rand_n, rand_chords, dsts) = if quick {
@@ -430,6 +523,23 @@ fn main() {
     }
 
     println!();
+    println!("line-search probe: line restriction vs fused CSR sweep at the trial point:");
+    let mut probes = Vec::new();
+    for case in &eval_cases {
+        let p = run_probe_case(case, if quick { 25 } else { 41 });
+        println!(
+            "{:<16} {:<12} csr {:>9.6} ms   restricted {:>9.6} ms   gain {:.2}x   setup {:.6} ms",
+            p.name,
+            p.model,
+            p.csr_probe_ms,
+            p.restricted_probe_ms,
+            p.csr_probe_ms / p.restricted_probe_ms,
+            p.setup_ms
+        );
+        probes.push(p);
+    }
+
+    println!();
     println!("solver end-to-end:");
     let solver_iters = if quick { 20 } else { 60 };
     let rand_task = random_task(rand_n, rand_chords);
@@ -463,7 +573,7 @@ fn main() {
         obs.disabled_ms, obs.enabled_ms, obs.overhead_ratio
     );
 
-    let json = render_json(quick, &evals, &fused, &solvers, &obs);
+    let json = render_json(quick, &evals, &fused, &probes, &solvers, &obs);
     std::fs::write(&out_path, &json).expect("write JSON report");
     println!();
     println!("wrote {out_path}");

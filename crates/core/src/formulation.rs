@@ -4,8 +4,10 @@
 //! sparse row) form — one flat `(variable, fraction)` array plus row offsets
 //! — and evaluates value/gradient/curvature with serial row sweeps. A fused
 //! single-pass kernel ([`PlacementObjective::eval_fused`]) produces value,
-//! gradient, and both directional derivatives from one CSR sweep — the
-//! line-search hot path touches each row once instead of three times.
+//! gradient, and both directional derivatives from one CSR sweep. The Newton
+//! line search evaluates the objective's restriction to the search line
+//! ([`Objective::line_probe`]): under the approximate rate model one CSR
+//! sweep per search, then probes that touch no CSR entry at all.
 
 use crate::{CoreError, MeasurementTask, SreUtility, Utility};
 use nws_linalg::Vector;
@@ -14,6 +16,7 @@ use nws_solver::{BoxLinearProblem, Objective};
 use nws_topo::LinkId;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// How the effective sampling rate `ρ_k(p)` is modelled inside the objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,6 +111,19 @@ pub struct PlacementObjective<U: Utility = SreUtility> {
     /// Observability sink (disabled by default — a single branch per
     /// evaluation). See [`PlacementObjective::with_recorder`].
     recorder: Recorder,
+    /// Line-search scratch, lent to one [`LineProbe`] at a time and
+    /// returned when it drops, so steady-state searches do not allocate.
+    line_scratch: Mutex<LineScratch>,
+}
+
+/// Buffers of one line search ([`Objective::line_probe`]).
+#[derive(Default)]
+struct LineScratch {
+    /// `(k, a_k, b_k)` per OD the direction moves, where
+    /// `ρ_k(p + t·s) = a_k + t·b_k` under [`RateModel::Approximate`].
+    rows: Vec<(usize, f64, f64)>,
+    /// The trial point `p + t·s` of a [`RateModel::Exact`] probe.
+    trial: Vector,
 }
 
 impl PlacementObjective<SreUtility> {
@@ -188,13 +204,17 @@ impl<U: Utility> PlacementObjective<U> {
             rate_model,
             dim,
             recorder: Recorder::disabled(),
+            line_scratch: Mutex::default(),
         }
     }
 
     /// Attaches an observability recorder (builder style; the default is the
     /// disabled no-op sink). With a live recorder, every evaluation bumps
     /// `eval_calls_total`, and fused-kernel calls additionally
-    /// `eval_fused_calls_total`.
+    /// `eval_fused_calls_total`. A line search ([`Objective::line_probe`])
+    /// counts one evaluation in all under [`RateModel::Approximate`] — its
+    /// set-up sweep; the probes touch no CSR entry — and one fused call per
+    /// probe under [`RateModel::Exact`].
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
@@ -355,9 +375,9 @@ impl<U: Utility> PlacementObjective<U> {
     /// Memory-traffic argument: for nnz-dominated instances each of the four
     /// separate kernels streams the whole CSR entry array through the cache;
     /// the fused kernel streams it once and amortizes the utility-derivative
-    /// evaluations, so a Newton line-search probe (`φ'` + `φ''`) costs one
-    /// sweep instead of two, and the solver's per-iteration value+gradient
-    /// costs one instead of two.
+    /// evaluations, so an exact-model line-search probe (`φ'` + `φ''`) costs
+    /// one sweep instead of two, and the solver's per-iteration
+    /// value+gradient costs one instead of two.
     fn fused_over(
         &self,
         ks: Range<usize>,
@@ -421,9 +441,9 @@ impl<U: Utility> PlacementObjective<U> {
     /// second directional derivatives along `s` (when given), and the full
     /// gradient written into `grad` (when given) — all from **one** sweep
     /// over the rows, with `ρ_k` and the utility derivatives computed once
-    /// per row. The solver's Newton line search uses this for its `φ'`/`φ''`
-    /// probes and the solve loop for its value+gradient iterations, halving
-    /// the CSR traffic of the hot path.
+    /// per row. The solve loop uses this for its value+gradient iterations
+    /// and [`RateModel::Exact`] line-search probes for their `φ'`/`φ''`,
+    /// halving the CSR traffic of those paths.
     pub fn eval_fused(
         &self,
         p: &Vector,
@@ -479,13 +499,102 @@ impl<U: Utility> Objective for PlacementObjective<U> {
         self.dir_derivative_over(0..self.num_ods(), p, s)
     }
 
-    fn derivatives_along(&self, p: &Vector, s: &Vector) -> (f64, f64) {
-        let fused = self.eval_fused(p, Some(s), None);
-        (fused.derivative, fused.curvature)
+    fn line_probe<'a>(
+        &'a self,
+        p: &'a Vector,
+        s: &'a Vector,
+    ) -> impl FnMut(f64) -> (f64, f64) + 'a {
+        let mut probe = LineProbe::new(self, p, s);
+        move |t| probe.at(t)
     }
 
     fn value_and_gradient_into(&self, p: &Vector, out: &mut Vector) -> f64 {
         self.eval_fused(p, None, Some(out)).value
+    }
+}
+
+/// The objective restricted to the line `p + t·s` (see
+/// [`Objective::line_probe`]).
+///
+/// Under [`RateModel::Approximate`] (eq. (7)) each OD's rate is affine along
+/// the line, `ρ_k(p + t·s) = a_k + t·b_k` with `a_k = Σ r·p_v` and
+/// `b_k = Σ r·s_v`, so one CSR sweep at construction records `(a_k, b_k)`
+/// and every probe evaluates
+/// `φ'(t) = Σ w·M'(ρ)·b_k`, `φ''(t) = Σ w·M''(ρ)·b_k²` over the ODs with
+/// `b_k ≠ 0` — the others contribute exact zeros. The exact union rate is
+/// not affine in `t`, so [`RateModel::Exact`] probes run the fused CSR
+/// kernel at the trial point.
+struct LineProbe<'a, U: Utility> {
+    obj: &'a PlacementObjective<U>,
+    p: &'a Vector,
+    s: &'a Vector,
+    scratch: LineScratch,
+}
+
+impl<'a, U: Utility> LineProbe<'a, U> {
+    fn new(obj: &'a PlacementObjective<U>, p: &'a Vector, s: &'a Vector) -> Self {
+        let mut scratch = std::mem::take(
+            &mut *obj
+                .line_scratch
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        match obj.rate_model {
+            RateModel::Approximate => {
+                obj.recorder.counter_add("eval_calls_total", 1);
+                scratch.rows.clear();
+                for k in 0..obj.num_ods() {
+                    let (mut a, mut b) = (0.0_f64, 0.0_f64);
+                    for &(v, r) in obj.row(k) {
+                        a += r * p[v];
+                        b += r * s[v];
+                    }
+                    if b != 0.0 {
+                        scratch.rows.push((k, a, b));
+                    }
+                }
+            }
+            RateModel::Exact => {
+                if scratch.trial.len() != p.len() {
+                    scratch.trial = Vector::zeros(p.len());
+                }
+            }
+        }
+        LineProbe { obj, p, s, scratch }
+    }
+
+    /// `(φ'(t), φ''(t))`.
+    fn at(&mut self, t: f64) -> (f64, f64) {
+        let obj = self.obj;
+        match obj.rate_model {
+            RateModel::Approximate => {
+                let (mut derivative, mut curvature) = (0.0_f64, 0.0_f64);
+                for &(k, a, b) in &self.scratch.rows {
+                    let rho = (a + t * b).clamp(0.0, 1.0);
+                    let (w, u) = (obj.weights[k], &obj.utilities[k]);
+                    derivative += w * u.d1(rho) * b;
+                    curvature += w * u.d2(rho) * b * b;
+                }
+                (derivative, curvature)
+            }
+            RateModel::Exact => {
+                let x = &mut self.scratch.trial;
+                x.copy_from(self.p);
+                x.axpy(t, self.s);
+                let fused = obj.eval_fused(x, Some(self.s), None);
+                (fused.derivative, fused.curvature)
+            }
+        }
+    }
+}
+
+impl<U: Utility> Drop for LineProbe<'_, U> {
+    fn drop(&mut self) {
+        *self
+            .obj
+            .line_scratch
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = std::mem::take(&mut self.scratch);
     }
 }
 
@@ -655,12 +764,35 @@ mod tests {
                 assert!(tol(grad[v], g[v]), "{model:?} grad var {v}");
             }
             // Trait-level fused entry points agree too.
-            let (d, c) = obj.derivatives_along(&p, &s);
+            let (d, c) = obj.line_probe(&p, &s)(0.0);
             assert!(tol(d, fused.derivative) && tol(c, fused.curvature));
             let mut g2 = Vector::zeros(idx.dim());
             let v2 = obj.value_and_gradient_into(&p, &mut g2);
             assert!(tol(v2, fused.value));
             assert_eq!(g2, obj.gradient(&p));
+        }
+    }
+
+    #[test]
+    fn line_search_eval_counts_per_model() {
+        let task = small_task();
+        let idx = ReducedIndex::new(&task);
+        let p = Vector::filled(idx.dim(), 1e-3);
+        let s: Vector = (0..idx.dim())
+            .map(|v| if v % 2 == 0 { 1e-3 } else { -1e-3 })
+            .collect();
+        for (model, expected) in [(RateModel::Approximate, 1), (RateModel::Exact, 5)] {
+            let rec = Recorder::enabled();
+            let obj = PlacementObjective::new(&task, &idx, model).with_recorder(rec.clone());
+            let mut probe = obj.line_probe(&p, &s);
+            for i in 0..5 {
+                probe(0.1 * i as f64);
+            }
+            assert_eq!(
+                rec.snapshot().counter("eval_calls_total"),
+                Some(expected),
+                "{model:?}"
+            );
         }
     }
 

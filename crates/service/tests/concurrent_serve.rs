@@ -4,8 +4,11 @@
 //! one-rebuild-per-window counter contract, drain-on-shutdown across
 //! connections, and the Unix-socket transport sharing the same machinery.
 
+#[path = "../../core/tests/support/cross_kkt.rs"]
+mod cross_kkt;
+
 use nws_core::scenarios::janet_task;
-use nws_core::PlacementConfig;
+use nws_core::{build_problem, MeasurementTask, PlacementConfig, PlacementObjective, ReducedIndex};
 use nws_service::json::{parse, Json};
 use nws_service::{Daemon, DaemonOptions, NetOptions, Server, ServiceState};
 use rand::rngs::StdRng;
@@ -217,10 +220,11 @@ fn concurrent_reads_see_single_epoch_snapshots() {
 ///
 /// The serial one-at-a-time replay commits the *same demand state* but
 /// re-solves K times, and the placement problem has near-degenerate optima:
-/// distinct KKT-certified solutions whose objectives agree to ~1e-3 while
-/// individual link rates (even active sets) differ. So the byte-level
-/// contract is against the merged batch, and the serial replay is held to
-/// objective equivalence.
+/// distinct KKT-certified solutions whose individual link rates (even
+/// active sets) differ. So the byte-level contract is against the merged
+/// batch, and the serial replay is held to cross-certification: each
+/// side's rates must be a KKT point of the other's task, with the solver's
+/// default tolerances.
 #[test]
 fn coalescing_is_one_rebuild_and_matches_uncoalesced_replay() {
     const K: usize = 10;
@@ -326,7 +330,7 @@ fn coalescing_is_one_rebuild_and_matches_uncoalesced_replay() {
     );
 
     // Serial one-at-a-time replay: same committed demand state, K solver
-    // paths; objectives of the certified optima must agree tightly.
+    // paths. Each side's rates must be a KKT point of the other's problem.
     let serial_script: String = updates
         .iter()
         .map(|(od, size)| {
@@ -338,18 +342,71 @@ fn coalescing_is_one_rebuild_and_matches_uncoalesced_replay() {
         ])
         .collect();
     let serial_rates = run_script_line(&serial_script, K as u64);
-    let a = coalesced_rates
-        .get("objective")
-        .and_then(Json::as_f64)
-        .expect("objective");
-    let b = serial_rates
-        .get("objective")
-        .and_then(Json::as_f64)
-        .expect("objective");
-    assert!(
-        ((a - b) / a.abs().max(1e-12)).abs() < 1e-2,
-        "coalesced vs serial objectives diverged: {a} vs {b}"
-    );
+    // Both runs commit the same demand state, so the serial replay's task
+    // is the JANET task with the merged sizes.
+    let task = janet_task_with_sizes(&merged);
+    for (label, rates, other) in [
+        ("coalesced", &coalesced_rates, "serial"),
+        ("serial", &serial_rates, "coalesced"),
+    ] {
+        if let Err(why) = certify_monitors(&task, rates) {
+            panic!("{label} rates fail KKT on the {other} replay's task: {why}");
+        }
+    }
+}
+
+/// The JANET task with the named ODs resized, rebuilt the way the service
+/// rebuilds an epoch: background = total link load − tracked OD load.
+fn janet_task_with_sizes(sizes: &[(&str, f64)]) -> MeasurementTask {
+    let base = janet_task();
+    let old: Vec<f64> = base.ods().iter().map(|o| o.size).collect();
+    let tracked = base.routing().link_loads(&old);
+    let background: Vec<f64> = base
+        .link_loads()
+        .iter()
+        .zip(&tracked)
+        .map(|(total, t)| (total - t).max(0.0))
+        .collect();
+    let mut builder = MeasurementTask::builder(base.topology().clone());
+    for od in base.ods() {
+        let size = sizes
+            .iter()
+            .find(|(name, _)| *name == od.name)
+            .map_or(od.size, |&(_, size)| size);
+        builder = builder.track(od.name.clone(), od.od, size);
+    }
+    builder
+        .background_loads(&background)
+        .theta(base.theta())
+        .build()
+        .expect("resized JANET task is valid")
+}
+
+/// Rebuilds the per-link rate vector of a `query_rates` response from its
+/// `monitors` array and certifies it on `task` with the solver's default
+/// tolerances.
+fn certify_monitors(task: &MeasurementTask, response: &Json) -> Result<(), String> {
+    let topo = task.topology();
+    let mut rates = vec![0.0; topo.num_links()];
+    for monitor in response
+        .get("monitors")
+        .and_then(Json::as_arr)
+        .expect("monitors")
+    {
+        let label = monitor.get("link").and_then(Json::as_str).expect("link");
+        let link = topo
+            .link_ids()
+            .find(|&l| topo.link_label(l) == label)
+            .ok_or_else(|| format!("unknown link {label}"))?;
+        rates[link.index()] = monitor.get("rate").and_then(Json::as_f64).expect("rate");
+    }
+    let index = ReducedIndex::new(task);
+    let problem = build_problem(task, &index).map_err(|e| e.to_string())?;
+    let objective = PlacementObjective::new(task, &index, PlacementConfig::default().rate_model);
+    let reduced: Vec<f64> = (0..index.dim())
+        .map(|v| rates[index.link(v).index()])
+        .collect();
+    cross_kkt::certify(&objective, &problem, &reduced)
 }
 
 /// Runs `script` through the single-stream loop and returns the response

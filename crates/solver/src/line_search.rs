@@ -2,6 +2,7 @@
 
 use crate::{Objective, Result, SolverError};
 use nws_linalg::Vector;
+use nws_obs::Recorder;
 
 /// Result of a line search along a direction `s` from `p` over `t ∈ [0, t_max]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +43,9 @@ impl Default for NewtonLineSearch {
 }
 
 impl NewtonLineSearch {
-    /// Maximizes `φ(t) = f(p + t·s)` over `[0, t_max]`.
+    /// Maximizes `φ(t) = f(p + t·s)` over `[0, t_max]`, adding the number
+    /// of `(φ', φ'')` probes it evaluated to the `solver_line_probes_total`
+    /// counter of `rec`.
     ///
     /// # Errors
     /// [`SolverError::NonFiniteObjective`] if a derivative evaluates to a
@@ -53,33 +56,18 @@ impl NewtonLineSearch {
         p: &Vector,
         s: &Vector,
         t_max: f64,
+        rec: &Recorder,
     ) -> Result<LineSearchOutcome> {
         assert!(t_max >= 0.0, "t_max must be ≥ 0, got {t_max}");
-        // One trial-point buffer serves every φ'/φ'' evaluation of this
-        // search. Each Newton probe needs both derivatives at the same `t`,
-        // so it calls the fused `derivatives_along` — objectives with a
-        // single-pass kernel (e.g. sparse-row evaluation) produce the pair
-        // in one data sweep instead of two. The boundary check at `t_max`
-        // only needs the sign of φ', so it stays on the cheaper
-        // `directional_derivative`.
-        let scratch = std::cell::RefCell::new(p.clone());
-        let phi_d = |t: f64| -> Result<f64> {
-            let mut x = scratch.borrow_mut();
-            x.copy_from(p);
-            x.axpy(t, s);
-            let d = obj.directional_derivative(&x, s);
-            if !d.is_finite() {
-                return Err(SolverError::NonFiniteObjective(format!(
-                    "φ'({t}) is not finite"
-                )));
-            }
-            Ok(d)
-        };
-        let phi_dc = |t: f64| -> Result<(f64, f64)> {
-            let mut x = scratch.borrow_mut();
-            x.copy_from(p);
-            x.axpy(t, s);
-            let (d, c) = obj.derivatives_along(&x, s);
+        // One restriction of the objective to the search line serves every
+        // evaluation of this search, the boundary check at `t_max`
+        // included: objectives that override `line_probe` pay their per-line
+        // set-up once, and each probe then costs only what depends on `t`.
+        let mut restriction = obj.line_probe(p, s);
+        let mut probes = 0_u64;
+        let mut phi = |t: f64| -> Result<(f64, f64)> {
+            probes += 1;
+            let (d, c) = restriction(t);
             if !d.is_finite() {
                 return Err(SolverError::NonFiniteObjective(format!(
                     "φ'({t}) is not finite"
@@ -92,15 +80,25 @@ impl NewtonLineSearch {
             }
             Ok((d, c))
         };
+        let outcome = self.search(&mut phi, t_max);
+        rec.counter_add("solver_line_probes_total", probes);
+        outcome
+    }
 
-        let (d0, c0) = phi_dc(0.0)?;
+    /// The safeguarded Newton iteration over a `(φ', φ'')` probe.
+    fn search(
+        &self,
+        phi: &mut impl FnMut(f64) -> Result<(f64, f64)>,
+        t_max: f64,
+    ) -> Result<LineSearchOutcome> {
+        let (d0, c0) = phi(0.0)?;
         if d0 <= 0.0 {
             return Ok(LineSearchOutcome::NoProgress);
         }
         if t_max == 0.0 {
             return Ok(LineSearchOutcome::NoProgress);
         }
-        let d_end = phi_d(t_max)?;
+        let (d_end, _) = phi(t_max)?;
         if d_end >= 0.0 {
             return Ok(LineSearchOutcome::ReachedMax);
         }
@@ -115,7 +113,7 @@ impl NewtonLineSearch {
             0.5 * t_max
         };
         for _ in 0..self.max_iters {
-            let (d, c) = phi_dc(t)?;
+            let (d, c) = phi(t)?;
             if d.abs() <= tol {
                 return Ok(LineSearchOutcome::Interior(t));
             }
@@ -175,12 +173,33 @@ mod tests {
         let p = Vector::zeros(2);
         let s = Vector::from(vec![1.0, 0.5]);
         let out = NewtonLineSearch::default()
-            .maximize(&obj, &p, &s, 10.0)
+            .maximize(&obj, &p, &s, 10.0, &Recorder::disabled())
             .unwrap();
         match out {
             LineSearchOutcome::Interior(t) => assert!((t - 1.0).abs() < 1e-9, "t = {t}"),
             other => panic!("expected interior, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn observed_search_counts_its_probes() {
+        // φ'(0), the boundary check at t_max, then one exact Newton step.
+        let obj = Quad {
+            w: vec![1.0, 2.0],
+            c: vec![1.0, 0.5],
+        };
+        let rec = Recorder::enabled();
+        let out = NewtonLineSearch::default()
+            .maximize(
+                &obj,
+                &Vector::zeros(2),
+                &Vector::from(vec![1.0, 0.5]),
+                10.0,
+                &rec,
+            )
+            .unwrap();
+        assert!(matches!(out, LineSearchOutcome::Interior(_)));
+        assert_eq!(rec.snapshot().counter("solver_line_probes_total"), Some(3));
     }
 
     #[test]
@@ -193,7 +212,7 @@ mod tests {
         let s = Vector::from(vec![1.0]);
         // Max at t=5 but t_max = 2: still increasing at the boundary.
         let out = NewtonLineSearch::default()
-            .maximize(&obj, &p, &s, 2.0)
+            .maximize(&obj, &p, &s, 2.0, &Recorder::disabled())
             .unwrap();
         assert_eq!(out, LineSearchOutcome::ReachedMax);
     }
@@ -207,7 +226,7 @@ mod tests {
         let p = Vector::zeros(1);
         let s = Vector::from(vec![1.0]); // moving away from the max
         let out = NewtonLineSearch::default()
-            .maximize(&obj, &p, &s, 1.0)
+            .maximize(&obj, &p, &s, 1.0, &Recorder::disabled())
             .unwrap();
         assert_eq!(out, LineSearchOutcome::NoProgress);
     }
@@ -219,7 +238,13 @@ mod tests {
             c: vec![1.0],
         };
         let out = NewtonLineSearch::default()
-            .maximize(&obj, &Vector::zeros(1), &Vector::from(vec![1.0]), 0.0)
+            .maximize(
+                &obj,
+                &Vector::zeros(1),
+                &Vector::from(vec![1.0]),
+                0.0,
+                &Recorder::disabled(),
+            )
             .unwrap();
         assert_eq!(out, LineSearchOutcome::NoProgress);
     }
@@ -247,7 +272,7 @@ mod tests {
         let p = Vector::zeros(2);
         let s = Vector::from(vec![2.0, -1.0]);
         let out = NewtonLineSearch::default()
-            .maximize(&Log, &p, &s, 0.9)
+            .maximize(&Log, &p, &s, 0.9, &Recorder::disabled())
             .unwrap();
         match out {
             LineSearchOutcome::Interior(t) => assert!((t - 0.25).abs() < 1e-9, "t = {t}"),
@@ -270,7 +295,13 @@ mod tests {
             }
         }
         let err = NewtonLineSearch::default()
-            .maximize(&Bad, &Vector::zeros(1), &Vector::from(vec![1.0]), 1.0)
+            .maximize(
+                &Bad,
+                &Vector::zeros(1),
+                &Vector::from(vec![1.0]),
+                1.0,
+                &Recorder::disabled(),
+            )
             .unwrap_err();
         assert!(matches!(err, SolverError::NonFiniteObjective(_)));
     }

@@ -40,18 +40,32 @@ pub trait Objective {
         self.gradient(p).dot(s)
     }
 
-    /// Both directional derivatives along `s` at `p`:
-    /// `(∇f(p)·s, sᵀ·∇²f(p)·s)`.
+    /// The restriction of the objective to the line `p + t·s`: a probe
+    /// `t ↦ (φ'(t), φ''(t))` with `φ(t) = f(p + t·s)`.
     ///
-    /// A Newton line-search probe needs exactly this pair; objectives with a
-    /// fused evaluation kernel (one sweep producing both) should override
-    /// it, halving the per-probe data traffic. The default delegates to the
-    /// two separate methods and must stay consistent with them.
-    fn derivatives_along(&self, p: &Vector, s: &Vector) -> (f64, f64) {
-        (
-            self.directional_derivative(p, s),
-            self.curvature_along(p, s),
-        )
+    /// The Newton line search builds one probe per search and evaluates it
+    /// at every trial step, so per-search set-up work is paid once and each
+    /// probe only pays for what depends on `t`. Objectives whose restriction
+    /// has a cheap closed form (e.g. a separable sum over terms that are
+    /// affine along the line) should override it. The default evaluates
+    /// [`Objective::directional_derivative`] and
+    /// [`Objective::curvature_along`] at the trial point, held in one
+    /// buffer reused by every probe of the search; overrides must agree
+    /// with it up to float rounding.
+    fn line_probe<'a>(
+        &'a self,
+        p: &'a Vector,
+        s: &'a Vector,
+    ) -> impl FnMut(f64) -> (f64, f64) + 'a {
+        let mut x = p.clone();
+        move |t| {
+            x.copy_from(p);
+            x.axpy(t, s);
+            (
+                self.directional_derivative(&x, s),
+                self.curvature_along(&x, s),
+            )
+        }
     }
 
     /// Writes the gradient at `p` into `out` (resizing if needed) and
@@ -268,9 +282,18 @@ mod tests {
         obj.gradient_into(&p, &mut out);
         assert_eq!(out, obj.gradient(&p));
         assert_eq!(obj.directional_derivative(&p, &s), obj.gradient(&p).dot(&s));
-        let (d, c) = obj.derivatives_along(&p, &s);
-        assert_eq!(d, obj.directional_derivative(&p, &s));
-        assert_eq!(c, obj.curvature_along(&p, &s));
+        let mut probe = obj.line_probe(&p, &s);
+        for t in [0.0, 0.5, -2.0] {
+            let mut x = p.clone();
+            x.axpy(t, &s);
+            assert_eq!(
+                probe(t),
+                (
+                    obj.directional_derivative(&x, &s),
+                    obj.curvature_along(&x, &s)
+                )
+            );
+        }
         let mut g = Vector::zeros(1);
         let v = obj.value_and_gradient_into(&p, &mut g);
         assert_eq!(v, obj.value(&p));

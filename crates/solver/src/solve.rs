@@ -142,7 +142,10 @@ impl Solver {
     /// a `solve` span with child spans per phase (`direction`, `projection`,
     /// `kkt_check`, `line_search`) and bumps the
     /// `solver_iterations_total` / `solver_releases_total` counters on
-    /// success. With a disabled recorder this costs one branch per phase.
+    /// success. Each search timed by the `line_search` span adds its
+    /// `(φ', φ'')` probes to `solver_line_probes_total`, so probes per
+    /// search is that counter over the span's count. With a disabled
+    /// recorder this costs one branch per phase.
     ///
     /// # Errors
     /// As for [`Solver::maximize_from`].
@@ -372,7 +375,7 @@ impl Solver {
 
             let outcome = {
                 let _phase = rec.span("line_search");
-                step.maximize(obj, &p, &s, t_max)?
+                step.maximize(obj, &p, &s, t_max, rec)?
             };
             match outcome {
                 LineSearchOutcome::Interior(t) => {
@@ -546,7 +549,9 @@ impl Solver {
                 None
             }
         };
-        match step.maximize(obj, p, d, t_max)? {
+        // Not counted: `solver_line_probes_total` covers the searches the
+        // `line_search` span times.
+        match step.maximize(obj, p, d, t_max, &Recorder::disabled())? {
             LineSearchOutcome::Interior(t) => {
                 let mut cand = p.clone();
                 cand.axpy(t, d);
@@ -561,7 +566,6 @@ impl Solver {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     #[allow(clippy::too_many_arguments)]
     fn finish_with_trajectory<O: Objective>(
         &self,
@@ -1055,6 +1059,10 @@ mod tests {
             assert_eq!(s.depth, 1, "{phase} nests under solve");
             assert!(s.count >= 1);
         }
+        // Every timed line search evaluates at least its probe at t = 0.
+        let searches = span("line_search").unwrap().count;
+        let probes = counter("solver_line_probes_total").expect("probes counted");
+        assert!(probes >= searches, "{probes} probes < {searches} searches");
         // The unobserved entry point leaves the recorder untouched.
         let silent = Recorder::enabled();
         Solver::default().maximize(&obj, &pb).unwrap();

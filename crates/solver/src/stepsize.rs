@@ -10,6 +10,7 @@
 
 use crate::{LineSearchOutcome, NewtonLineSearch, Objective, Result};
 use nws_linalg::Vector;
+use nws_obs::Recorder;
 
 /// A rule producing the step length along a search direction.
 ///
@@ -19,7 +20,9 @@ use nws_linalg::Vector;
 /// The solve loop is generic over this trait ([`crate::Solver::maximize_with`]),
 /// so swapping the rule requires no changes to the active-set machinery.
 pub trait StepSize {
-    /// Picks a step along `s` from `p` over `t ∈ [0, t_max]`.
+    /// Picks a step along `s` from `p` over `t ∈ [0, t_max]`, recording the
+    /// rule's own counters into `rec` (the Newton search counts its probes
+    /// in `solver_line_probes_total`).
     ///
     /// # Errors
     /// [`crate::SolverError::NonFiniteObjective`] when the objective or its
@@ -30,6 +33,7 @@ pub trait StepSize {
         p: &Vector,
         s: &Vector,
         t_max: f64,
+        rec: &Recorder,
     ) -> Result<LineSearchOutcome>;
 }
 
@@ -41,8 +45,9 @@ impl StepSize for NewtonLineSearch {
         p: &Vector,
         s: &Vector,
         t_max: f64,
+        rec: &Recorder,
     ) -> Result<LineSearchOutcome> {
-        NewtonLineSearch::maximize(self, obj, p, s, t_max)
+        NewtonLineSearch::maximize(self, obj, p, s, t_max, rec)
     }
 }
 
@@ -84,6 +89,7 @@ impl StepSize for BacktrackingStep {
         p: &Vector,
         s: &Vector,
         t_max: f64,
+        _rec: &Recorder,
     ) -> Result<LineSearchOutcome> {
         assert!(t_max >= 0.0, "t_max must be ≥ 0, got {t_max}");
         let d0 = obj.directional_derivative(p, s);
@@ -151,6 +157,7 @@ mod tests {
             &Vector::zeros(1),
             &Vector::from(vec![1.0]),
             10.0,
+            &Recorder::disabled(),
         )
         .unwrap();
         match out {
@@ -165,7 +172,13 @@ mod tests {
         // Armijo and is the boundary.
         let obj = Quad { c: vec![5.0] };
         let out = BacktrackingStep::default()
-            .maximize(&obj, &Vector::zeros(1), &Vector::from(vec![1.0]), 2.0)
+            .maximize(
+                &obj,
+                &Vector::zeros(1),
+                &Vector::from(vec![1.0]),
+                2.0,
+                &Recorder::disabled(),
+            )
             .unwrap();
         assert_eq!(out, LineSearchOutcome::ReachedMax);
     }
@@ -177,7 +190,13 @@ mod tests {
         // Armijo holds, and report an interior step.
         let obj = Quad { c: vec![1.0] };
         let out = BacktrackingStep::default()
-            .maximize(&obj, &Vector::zeros(1), &Vector::from(vec![1.0]), 16.0)
+            .maximize(
+                &obj,
+                &Vector::zeros(1),
+                &Vector::from(vec![1.0]),
+                16.0,
+                &Recorder::disabled(),
+            )
             .unwrap();
         match out {
             LineSearchOutcome::Interior(t) => {
@@ -192,11 +211,23 @@ mod tests {
     fn backtracking_rejects_descent_directions() {
         let obj = Quad { c: vec![-1.0] };
         let out = BacktrackingStep::default()
-            .maximize(&obj, &Vector::zeros(1), &Vector::from(vec![1.0]), 1.0)
+            .maximize(
+                &obj,
+                &Vector::zeros(1),
+                &Vector::from(vec![1.0]),
+                1.0,
+                &Recorder::disabled(),
+            )
             .unwrap();
         assert_eq!(out, LineSearchOutcome::NoProgress);
         let out = BacktrackingStep::default()
-            .maximize(&obj, &Vector::zeros(1), &Vector::from(vec![-1.0]), 0.0)
+            .maximize(
+                &obj,
+                &Vector::zeros(1),
+                &Vector::from(vec![-1.0]),
+                0.0,
+                &Recorder::disabled(),
+            )
             .unwrap();
         assert_eq!(out, LineSearchOutcome::NoProgress);
     }

@@ -58,7 +58,11 @@ For eval reports, checks in order:
 2.  Perf gates (hard, the acceptance criteria of the perf work):
       - obs overhead_ratio <= OBS_RATIO_MAX;
       - every fused case: fusion_gain >= FUSED_FLOOR (the single-pass
-        kernel may never lose to three passes).
+        kernel may never lose to three passes);
+      - every line_probe case: probe_gain >= PROBE_FLOOR (a probe of the
+        objective's line restriction may never lose to a fused CSR sweep
+        at the trial point; under the exact rate model both run the same
+        sweep, so the floor there only absorbs timer noise).
 3.  Structural baselines (scripts/bench_baselines.json): num_ods/nnz/dim of
     each case must match exactly — instance drift silently invalidates every
     committed number — as must each solver case's iteration count (the
@@ -78,6 +82,8 @@ from pathlib import Path
 
 OBS_RATIO_MAX = 1.05  # recorder overhead gate (matches bench_smoke.sh)
 FUSED_FLOOR = 0.95  # fused may never lose to separate (0.05 timer noise)
+PROBE_FLOOR = 0.90  # restricted probe may never lose to the CSR probe
+                    # (0.10: the exact case times identical work, ±5% jitter)
 TIMING_BAND = 8.0  # baseline timing ratio band (order-of-magnitude net)
 
 # Replay gates. Gaps are relative optimality gaps (dimensionless); the pad
@@ -99,6 +105,8 @@ EVAL_FIELDS = (
     "curvature_ms",
 )
 FUSED_FIELDS = ("name", "model", "separate_ms", "fused_ms", "fusion_gain")
+PROBE_FIELDS = ("name", "model", "csr_probe_ms", "restricted_probe_ms",
+                "setup_ms", "probe_gain")
 SOLVER_FIELDS = ("name", "num_ods", "solve_ms", "iterations", "objective")
 
 failures = []
@@ -114,7 +122,7 @@ def finite_positive(xs):
 
 def check_schema(report):
     for key in ("bench", "quick", "available_cores", "obs",
-                "eval_cases", "fused", "solver_cases"):
+                "eval_cases", "fused", "line_probe", "solver_cases"):
         if key not in report:
             fail(f"schema: missing top-level key {key!r}")
     if failures:
@@ -140,6 +148,19 @@ def check_schema(report):
             x = case.get(key, -1)
             if not finite_positive([x]):
                 fail(f"schema: fused {case.get('name', '?')}.{key} malformed: {x}")
+    probe_cases = {(c.get("name"), c.get("model")) for c in report["line_probe"]}
+    for case in report["eval_cases"]:
+        if (case.get("name"), case.get("model")) not in probe_cases:
+            fail(f"schema: eval case {case.get('name', '?')}/{case.get('model', '?')} "
+                 f"has no line_probe entry")
+    for case in report["line_probe"]:
+        for key in PROBE_FIELDS:
+            if key not in case:
+                fail(f"schema: line_probe case {case.get('name', '?')} missing {key!r}")
+        for key in PROBE_FIELDS[2:]:
+            x = case.get(key, -1)
+            if not finite_positive([x]):
+                fail(f"schema: line_probe {case.get('name', '?')}.{key} malformed: {x}")
     for case in report["solver_cases"]:
         for key in SOLVER_FIELDS:
             if key not in case:
@@ -159,6 +180,12 @@ def check_perf_gates(report):
             fail(f"gates: fused {case['name']}/{case['model']} gain "
                  f"{case['fusion_gain']:.3f} < {FUSED_FLOOR} — fusion lost "
                  f"to separate kernels")
+    # A line-restriction probe must not lose to a CSR probe.
+    for case in report["line_probe"]:
+        if case["probe_gain"] < PROBE_FLOOR:
+            fail(f"gates: line_probe {case['name']}/{case['model']} gain "
+                 f"{case['probe_gain']:.3f} < {PROBE_FLOOR} — the restricted "
+                 f"probe lost to the CSR probe")
 
 
 def structure_of(report):
@@ -582,6 +609,7 @@ def main():
         return 1
     print(f"check_bench: all perf gates pass "
           f"({len(report['eval_cases'])} eval, {len(report['fused'])} fused, "
+          f"{len(report['line_probe'])} line_probe, "
           f"{len(report['solver_cases'])} solver cases; "
           f"obs ratio {report['obs']['overhead_ratio']:.4f})")
     return 0
