@@ -2,8 +2,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nws_routing::{OdPair, RoutingMatrix, Spf};
-use nws_topo::geant;
 use nws_topo::random::ring_with_chords;
+use nws_topo::{geant, NodeId};
+use std::cmp::Reverse;
 use std::hint::black_box;
 
 fn bench_spf_geant(c: &mut Criterion) {
@@ -39,9 +40,30 @@ fn bench_routing_matrix(c: &mut Criterion) {
     });
 }
 
+/// The planning-scale shape: 160 PoPs with 160 chords, the 16
+/// highest-degree PoPs each tracking every other PoP (2544 ODs, 640 links).
+fn bench_routing_matrix_ring(c: &mut Criterion) {
+    let topo = ring_with_chords(160, 160, 42);
+    let mut sources: Vec<NodeId> = topo.node_ids().collect();
+    sources.sort_by_key(|&v| (Reverse(topo.out_links(v).count()), v.index()));
+    sources.truncate(16);
+    let ods: Vec<OdPair> = sources
+        .iter()
+        .flat_map(|&s| {
+            topo.node_ids()
+                .filter(move |&d| d != s)
+                .map(move |d| OdPair::new(s, d))
+        })
+        .collect();
+    c.bench_function("routing_matrix/ring160x16", |b| {
+        b.iter(|| RoutingMatrix::build(black_box(&topo), black_box(&ods)))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_spf_geant, bench_spf_scaling, bench_routing_matrix
+    targets = bench_spf_geant, bench_spf_scaling, bench_routing_matrix,
+        bench_routing_matrix_ring
 }
 criterion_main!(benches);

@@ -2,7 +2,8 @@
 //! `curvature_along`, the fused single-pass kernel vs the three separate
 //! kernels, one line-search probe through the objective's line restriction
 //! vs a fused CSR probe at the trial point, the cost of a live
-//! observability recorder, plus solver end-to-end timings, on GEANT,
+//! observability recorder, the task build (routing matrix, loads,
+//! candidates) behind each case, plus solver end-to-end timings, on GEANT,
 //! Abilene, and a ~500-node random topology.
 //!
 //! Dependency-free (`std::time::Instant` only); emits machine-readable JSON
@@ -18,13 +19,14 @@ use nws_bench::{banner, footer};
 use nws_core::scenarios::{abilene_task, janet_task};
 use nws_core::{
     solve_placement, MeasurementTask, PlacementConfig, PlacementObjective, RateModel, ReducedIndex,
-    SreUtility,
+    SreUtility, TaskBuilder,
 };
 use nws_linalg::Vector;
 use nws_obs::Recorder;
 use nws_routing::{OdPair, Router};
 use nws_solver::Objective;
 use nws_topo::random::ring_with_chords;
+use nws_topo::NodeId;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -66,6 +68,15 @@ struct ProbeResult {
     restricted_probe_ms: f64,
     /// Building the line restriction (once per search).
     setup_ms: f64,
+}
+
+struct RoutingResult {
+    name: String,
+    num_ods: usize,
+    /// Stored `(link, fraction)` entries of the task's routing matrix.
+    nnz: usize,
+    /// One `TaskBuilder::build`: routing matrix, link loads, candidates.
+    task_build_ms: f64,
 }
 
 struct SolverResult {
@@ -123,21 +134,14 @@ fn task_case(name: &str, task: &MeasurementTask, model: RateModel) -> EvalCase {
     }
 }
 
-/// Builds the large synthetic eval case directly from shortest-path rows on
-/// a ring-with-chords topology: every node is a source tracking `dsts_per_src`
-/// destinations, sizes heavy-tailed by OD rank. Bypassing `MeasurementTask`
-/// keeps construction linear in nnz (no dense routing matrix), which is what
-/// lets the case reach hundreds of thousands of entries.
-type ObjectiveParts = (Vec<SreUtility>, Vec<f64>, Vec<Vec<(usize, f64)>>, usize);
-
-/// The raw (utilities, weights, routing rows, dim) of the synthetic case,
-/// so several objectives can be built over identical data.
-fn random_parts(n: usize, chords: usize, dsts_per_src: usize) -> ObjectiveParts {
+/// The large synthetic case as a measurement task: a ring-with-chords
+/// topology where every node is a source tracking `dsts_per_src`
+/// destinations, sizes heavy-tailed by OD rank, θ a share of the tracked
+/// volume, no background load.
+fn random_eval_task(n: usize, chords: usize, dsts_per_src: usize) -> MeasurementTask {
     let topo = ring_with_chords(n, chords, 42);
-    let dim = topo.num_links();
     let router = Router::new(&topo);
-    let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut utilities = Vec::new();
+    let mut ods = Vec::new();
     for src in topo.node_ids() {
         for j in 1..=dsts_per_src {
             // Deterministic destination spread around the ring.
@@ -145,29 +149,56 @@ fn random_parts(n: usize, chords: usize, dsts_per_src: usize) -> ObjectiveParts 
             if dst_index == src.index() {
                 continue;
             }
-            let dst = topo
-                .node_ids()
-                .nth(dst_index)
-                .expect("index within node count");
-            let fractions = router.ecmp_fractions(OdPair::new(src, dst));
-            if fractions.is_empty() {
+            let od = OdPair::new(src, NodeId::from_index(dst_index));
+            if router.path(od).is_none() {
                 continue;
             }
-            rows.push(fractions.into_iter().map(|(l, f)| (l.index(), f)).collect());
             // Heavy-tailed sizes: a few elephants, many mice.
-            let rank = rows.len();
-            let size = (9_000_000.0 / (rank as f64).powf(1.2)).max(600.0);
-            utilities.push(SreUtility::new(1.0 / size));
+            let rank = ods.len() + 1;
+            ods.push((od, (9_000_000.0 / (rank as f64).powf(1.2)).max(600.0)));
         }
     }
-    let weights = vec![1.0; rows.len()];
-    (utilities, weights, rows, dim)
+    drop(router);
+    let total: f64 = ods.iter().map(|&(_, size)| size).sum();
+    let mut b = MeasurementTask::builder(topo);
+    for (od, size) in ods {
+        b = b.track(format!("F{}-{}", od.src.index(), od.dst.index()), od, size);
+    }
+    b.theta(total * 0.002)
+        .build()
+        .expect("synthetic task is valid")
 }
 
-fn random_case(n: usize, chords: usize, dsts_per_src: usize, model: RateModel) -> EvalCase {
-    let (utilities, weights, rows, dim) = random_parts(n, chords, dsts_per_src);
+/// The raw (utilities, weights, routing rows, dim) of an objective.
+type ObjectiveParts = (Vec<SreUtility>, Vec<f64>, Vec<Vec<(usize, f64)>>, usize);
+
+/// A task's objective parts straight from its routing rows, with every
+/// link a variable (no candidate filtering), so several objectives can be
+/// built over identical data.
+fn task_parts(task: &MeasurementTask) -> ObjectiveParts {
+    let routing = task.routing();
+    let rows: Vec<Vec<(usize, f64)>> = (0..routing.num_ods())
+        .map(|k| {
+            routing
+                .row(k)
+                .iter()
+                .map(|&(l, f)| (l.index(), f))
+                .collect()
+        })
+        .collect();
+    let utilities = task
+        .ods()
+        .iter()
+        .map(|o| SreUtility::new(o.inv_mean_size))
+        .collect();
+    let weights = vec![1.0; rows.len()];
+    (utilities, weights, rows, routing.num_links())
+}
+
+fn random_case(task: &MeasurementTask, model: RateModel) -> EvalCase {
+    let (utilities, weights, rows, dim) = task_parts(task);
     EvalCase {
-        name: format!("random{n}"),
+        name: format!("random{}", task.topology().num_nodes()),
         model,
         objective: PlacementObjective::from_parts(utilities, weights, rows, model, dim),
         point: eval_point(dim),
@@ -325,6 +356,39 @@ fn random_task(n: usize, chords: usize) -> MeasurementTask {
         .expect("synthetic task is valid")
 }
 
+/// A fresh builder for `task`: its topology, tracked ODs and θ, with its
+/// total link loads as background. The build routes the same ODs over the
+/// same topology, so it does the same routing work.
+fn rebuilder(task: &MeasurementTask) -> TaskBuilder {
+    let mut b = MeasurementTask::builder(task.topology().clone());
+    for o in task.ods() {
+        b = b.track_with_c(o.name.clone(), o.od, o.size, o.inv_mean_size);
+    }
+    b.background_loads(task.link_loads()).theta(task.theta())
+}
+
+/// Times `TaskBuilder::build` for `task`'s specification (the builder is
+/// assembled outside the timed region) and records its routing nnz.
+fn run_routing_case(name: &str, task: &MeasurementTask, reps: usize) -> RoutingResult {
+    let mut samples: Vec<f64> = (0..=reps)
+        .map(|_| {
+            let builder = rebuilder(task);
+            let t0 = Instant::now();
+            let built = builder.build().expect("rebuilt task is valid");
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            black_box(built);
+            ms
+        })
+        .skip(1) // warmup
+        .collect();
+    RoutingResult {
+        name: name.to_string(),
+        num_ods: task.ods().len(),
+        nnz: task.routing().nnz(),
+        task_build_ms: median(&mut samples),
+    }
+}
+
 fn run_solver_case(name: &str, task: &MeasurementTask, max_iterations: usize) -> SolverResult {
     let mut config = PlacementConfig::default();
     config.solver.max_iterations = max_iterations;
@@ -387,6 +451,7 @@ fn render_json(
     evals: &[EvalResult],
     fused: &[FusedResult],
     probes: &[ProbeResult],
+    routing: &[RoutingResult],
     solvers: &[SolverResult],
     obs: &ObsResult,
 ) -> String {
@@ -445,6 +510,18 @@ fn render_json(
         ));
     }
     out.push_str("  ],\n");
+    out.push_str("  \"routing\": [\n");
+    for (i, r) in routing.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"name\": \"{}\", \"num_ods\": {}, \"nnz\": {}, \"task_build_ms\": {:.6}}}{}\n",
+            r.name,
+            r.num_ods,
+            r.nnz,
+            r.task_build_ms,
+            if i + 1 < routing.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ],\n");
     out.push_str("  \"solver_cases\": [\n");
     for (i, s) in solvers.iter().enumerate() {
         out.push_str(&format!(
@@ -473,7 +550,8 @@ fn main() {
 
     let t0 = banner(
         "eval_bench",
-        "objective-evaluation engine: kernels, fusion, line probes, obs overhead, solver end-to-end",
+        "objective-evaluation engine: kernels, fusion, line probes, task build, obs overhead, \
+         solver end-to-end",
     );
     let reps = if quick { 3 } else { 7 };
     let (rand_n, rand_chords, dsts) = if quick {
@@ -485,11 +563,12 @@ fn main() {
     let janet = janet_task();
     let abilene = abilene_task(40_000.0, 7).expect("valid theta");
 
+    let rand_eval = random_eval_task(rand_n, rand_chords, dsts);
     let eval_cases = vec![
         task_case("geant_janet", &janet, RateModel::Approximate),
         task_case("abilene", &abilene, RateModel::Approximate),
-        random_case(rand_n, rand_chords, dsts, RateModel::Approximate),
-        random_case(rand_n, rand_chords, dsts, RateModel::Exact),
+        random_case(&rand_eval, RateModel::Approximate),
+        random_case(&rand_eval, RateModel::Exact),
     ];
 
     println!(
@@ -540,6 +619,20 @@ fn main() {
     }
 
     println!();
+    println!("task build (routing matrix, loads, candidates):");
+    let routing = vec![
+        run_routing_case("geant_janet", &janet, reps),
+        run_routing_case("abilene", &abilene, reps),
+        run_routing_case(&format!("random{rand_n}"), &rand_eval, reps),
+    ];
+    for r in &routing {
+        println!(
+            "{:<16} {:>8} ods {:>9} nnz   build {:>9.3} ms",
+            r.name, r.num_ods, r.nnz, r.task_build_ms
+        );
+    }
+
+    println!();
     println!("solver end-to-end:");
     let solver_iters = if quick { 20 } else { 60 };
     let rand_task = random_task(rand_n, rand_chords);
@@ -556,7 +649,7 @@ fn main() {
     }
 
     println!();
-    let (utilities, weights, rows, dim) = random_parts(rand_n, rand_chords, dsts);
+    let (utilities, weights, rows, dim) = task_parts(&rand_eval);
     let obs_disabled = PlacementObjective::from_parts(
         utilities.clone(),
         weights.clone(),
@@ -573,7 +666,7 @@ fn main() {
         obs.disabled_ms, obs.enabled_ms, obs.overhead_ratio
     );
 
-    let json = render_json(quick, &evals, &fused, &probes, &solvers, &obs);
+    let json = render_json(quick, &evals, &fused, &probes, &routing, &solvers, &obs);
     std::fs::write(&out_path, &json).expect("write JSON report");
     println!();
     println!("wrote {out_path}");

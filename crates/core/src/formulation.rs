@@ -142,12 +142,13 @@ impl PlacementObjective<SreUtility> {
 
 /// The sparse `(variable, r_{k,i})` rows of a task against an index.
 pub(crate) fn task_rows(task: &MeasurementTask, index: &ReducedIndex) -> Vec<Vec<(usize, f64)>> {
-    (0..task.ods().len())
+    let routing = task.routing();
+    (0..routing.num_ods())
         .map(|k| {
-            task.routing()
-                .links_of_od(k)
-                .into_iter()
-                .filter_map(|l| index.var(l).map(|v| (v, task.routing().entry(k, l))))
+            routing
+                .row(k)
+                .iter()
+                .filter_map(|&(l, r)| index.var(l).map(|v| (v, r)))
                 .collect()
         })
         .collect()

@@ -247,7 +247,7 @@ impl TaskBuilder {
         let pairs: Vec<OdPair> = self.ods.iter().map(|o| o.od).collect();
         let routing = RoutingMatrix::build(&self.topo, &pairs);
         for (k, od) in self.ods.iter().enumerate() {
-            if routing.links_of_od(k).is_empty() {
+            if routing.row(k).is_empty() {
                 return Err(CoreError::InvalidTask(format!(
                     "OD {} is unroutable (no path)",
                     od.name

@@ -10,8 +10,9 @@
 //!   retaining the full equal-cost DAG;
 //! * [`Router`] — per-source SPF cache with path extraction and ECMP traffic
 //!   splitting;
-//! * [`RoutingMatrix`] — the dense `|F| × |E|` matrix plus link-load
-//!   accumulation;
+//! * [`RoutingMatrix`] — the matrix in compressed sparse rows (each OD
+//!   keeps only the links it crosses, so building and sweeping it costs
+//!   O(nnz), not O(|F|·|E|)) plus link-load accumulation;
 //! * [`failure`] — link-failure what-if: clone a topology without some links
 //!   and recompute, modelling the re-routing events that motivate dynamic
 //!   monitor placement (paper §I).
@@ -38,7 +39,7 @@ mod path;
 mod router;
 mod spf;
 
-pub use matrix::{OdLinkIndex, RoutingMatrix};
+pub use matrix::RoutingMatrix;
 pub use path::{OdPair, Path};
 pub use router::Router;
 pub use spf::Spf;

@@ -7,14 +7,20 @@ use nws_topo::{LinkId, Topology};
 /// OD pair `k`'s traffic that traverses link `i` (paper §III: `r_{k,i} = 1`
 /// if OD pair `i` traverses edge `j`, generalized to fractions under ECMP).
 ///
-/// Stored dense (`|F| × |E|`): the task sets in this problem are tens of OD
-/// pairs over at most a few hundred links.
+/// Stored as compressed sparse rows: an OD crosses a path's worth of links
+/// out of `|E|`, so each row keeps only its `(link, fraction)` entries, link
+/// ids ascending, and every build and sweep costs O(nnz) rather than
+/// O(|F|·|E|). Stored fractions are in `(0, 1]`; an absent entry is 0.
 #[derive(Debug, Clone)]
 pub struct RoutingMatrix {
     ods: Vec<OdPair>,
     num_links: usize,
-    /// Row-major `|F| × |E|` fractions.
-    entries: Vec<f64>,
+    /// `offsets[k]..offsets[k + 1]` spans row `k` of `entries`; length
+    /// `|F| + 1`.
+    offsets: Vec<usize>,
+    /// `(link, fraction)` pairs, grouped by OD row, link ids ascending
+    /// within each row.
+    entries: Vec<(LinkId, f64)>,
 }
 
 impl RoutingMatrix {
@@ -27,16 +33,18 @@ impl RoutingMatrix {
 
     /// Builds the routing matrix reusing an existing router's SPF cache.
     pub fn build_with_router(router: &Router<'_>, ods: &[OdPair]) -> RoutingMatrix {
-        let num_links = router.topology().num_links();
-        let mut entries = vec![0.0; ods.len() * num_links];
-        for (k, &od) in ods.iter().enumerate() {
-            for (l, f) in router.ecmp_fractions(od) {
-                entries[k * num_links + l.index()] = f;
-            }
+        let mut offsets = Vec::with_capacity(ods.len() + 1);
+        offsets.push(0);
+        let mut entries = Vec::new();
+        let mut node_share = Vec::new();
+        for &od in ods {
+            router.append_ecmp_fractions(od, &mut node_share, &mut entries);
+            offsets.push(entries.len());
         }
         RoutingMatrix {
             ods: ods.to_vec(),
-            num_links,
+            num_links: router.topology().num_links(),
+            offsets,
             entries,
         }
     }
@@ -51,9 +59,24 @@ impl RoutingMatrix {
         self.num_links
     }
 
+    /// Number of stored `(link, fraction)` entries across all rows.
+    pub fn nnz(&self) -> usize {
+        self.entries.len()
+    }
+
     /// The OD pairs, in row order.
     pub fn ods(&self) -> &[OdPair] {
         &self.ods
+    }
+
+    /// OD `k`'s `(link, fraction)` entries, link ids ascending; empty if
+    /// the OD is unroutable or a self-pair.
+    ///
+    /// # Panics
+    /// Panics if `k` is out of range.
+    pub fn row(&self, k: usize) -> &[(LinkId, f64)] {
+        assert!(k < self.ods.len(), "OD index {k} out of range");
+        &self.entries[self.offsets[k]..self.offsets[k + 1]]
     }
 
     /// Fraction of OD `k`'s traffic on `link`.
@@ -61,8 +84,14 @@ impl RoutingMatrix {
     /// # Panics
     /// Panics if `k` or `link` is out of range.
     pub fn entry(&self, k: usize, link: LinkId) -> f64 {
-        assert!(k < self.ods.len(), "OD index {k} out of range");
-        self.entries[k * self.num_links + link.index()]
+        assert!(
+            link.index() < self.num_links,
+            "link index {} out of range",
+            link.index()
+        );
+        let row = self.row(k);
+        row.binary_search_by_key(&link, |&(l, _)| l)
+            .map_or(0.0, |i| row[i].1)
     }
 
     /// True if OD `k` sends any traffic over `link`.
@@ -72,39 +101,27 @@ impl RoutingMatrix {
 
     /// Links traversed by OD `k` (positive fraction), in link-id order.
     pub fn links_of_od(&self, k: usize) -> Vec<LinkId> {
-        (0..self.num_links)
-            .map(LinkId::from_index)
-            .filter(|&l| self.traverses(k, l))
-            .collect()
-    }
-
-    /// OD rows that traverse `link`.
-    pub fn ods_on_link(&self, link: LinkId) -> Vec<usize> {
-        (0..self.ods.len())
-            .filter(|&k| self.traverses(k, link))
-            .collect()
-    }
-
-    /// Builds the inverted link→OD index of this matrix. The index is a
-    /// point-in-time snapshot; rebuild it after rerouting produces a new
-    /// matrix.
-    pub fn link_index(&self) -> OdLinkIndex {
-        OdLinkIndex::build(self)
+        self.row(k).iter().map(|&(l, _)| l).collect()
     }
 
     /// The union of links traversed by any OD pair — the candidate monitor
-    /// set `L ⊆ E` of the paper.
+    /// set `L ⊆ E` of the paper — in link-id order.
     pub fn covered_links(&self) -> Vec<LinkId> {
+        let mut covered = vec![false; self.num_links];
+        for &(l, _) in &self.entries {
+            covered[l.index()] = true;
+        }
         (0..self.num_links)
+            .filter(|&i| covered[i])
             .map(LinkId::from_index)
-            .filter(|&l| (0..self.ods.len()).any(|k| self.traverses(k, l)))
             .collect()
     }
 
     /// Accumulates per-link loads from per-OD demands: `U = Rᵀ·d`.
     ///
     /// `demands[k]` is OD `k`'s traffic volume (any unit); the result is the
-    /// volume each link carries from these ODs, in the same unit.
+    /// volume each link carries from these ODs, in the same unit. Each link
+    /// sums its terms in OD-row order.
     ///
     /// # Panics
     /// Panics if `demands.len() != self.num_ods()`.
@@ -116,89 +133,11 @@ impl RoutingMatrix {
         );
         let mut loads = vec![0.0; self.num_links];
         for (k, &d) in demands.iter().enumerate() {
-            let row = &self.entries[k * self.num_links..(k + 1) * self.num_links];
-            for (i, &f) in row.iter().enumerate() {
-                if f > 0.0 {
-                    loads[i] += f * d;
-                }
+            for &(l, f) in self.row(k) {
+                loads[l.index()] += f * d;
             }
         }
         loads
-    }
-}
-
-/// Inverted index of a [`RoutingMatrix`]: for every link, the OD rows that
-/// traverse it and with what fraction — the transpose of `R` in CSR
-/// (compressed sparse row) form, rows indexed by link.
-///
-/// [`RoutingMatrix::ods_on_link`] answers the same question by scanning a
-/// dense column (`O(|F|)` per query); this index answers it in `O(1)` plus
-/// the output size, which is what incremental evaluation and per-link
-/// sensitivity analyses need when they touch every link once per sweep.
-#[derive(Debug, Clone)]
-pub struct OdLinkIndex {
-    /// `offsets[i]..offsets[i + 1]` spans link `i`'s entries; length
-    /// `num_links + 1`.
-    offsets: Vec<usize>,
-    /// `(od_row, fraction)` pairs, grouped by link, OD rows ascending within
-    /// each group.
-    entries: Vec<(usize, f64)>,
-}
-
-impl OdLinkIndex {
-    /// Builds the index by a counting-sort transpose of the dense matrix
-    /// (one pass to size the groups, one to fill them).
-    pub fn build(matrix: &RoutingMatrix) -> OdLinkIndex {
-        let num_links = matrix.num_links();
-        let mut counts = vec![0usize; num_links];
-        for k in 0..matrix.num_ods() {
-            let row = &matrix.entries[k * num_links..(k + 1) * num_links];
-            for (i, &f) in row.iter().enumerate() {
-                if f > 0.0 {
-                    counts[i] += 1;
-                }
-            }
-        }
-        let mut offsets = Vec::with_capacity(num_links + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for &c in &counts {
-            acc += c;
-            offsets.push(acc);
-        }
-        let mut entries = vec![(0usize, 0.0f64); acc];
-        let mut cursor = offsets[..num_links].to_vec();
-        for k in 0..matrix.num_ods() {
-            let row = &matrix.entries[k * num_links..(k + 1) * num_links];
-            for (i, &f) in row.iter().enumerate() {
-                if f > 0.0 {
-                    entries[cursor[i]] = (k, f);
-                    cursor[i] += 1;
-                }
-            }
-        }
-        OdLinkIndex { offsets, entries }
-    }
-
-    /// Number of links (rows of the index).
-    pub fn num_links(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of stored `(od, fraction)` entries across all links.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The `(od_row, fraction)` pairs of ODs traversing `link`, OD rows
-    /// ascending.
-    ///
-    /// # Panics
-    /// Panics if `link` is out of range.
-    pub fn ods_on_link(&self, link: LinkId) -> &[(usize, f64)] {
-        let i = link.index();
-        assert!(i < self.num_links(), "link index {i} out of range");
-        &self.entries[self.offsets[i]..self.offsets[i + 1]]
     }
 }
 
@@ -252,18 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn ods_on_link_inverse_of_links_of_od() {
-        let t = geant();
-        let ods = janet_ods(&t);
-        let r = RoutingMatrix::build(&t, &ods);
-        for k in 0..r.num_ods() {
-            for l in r.links_of_od(k) {
-                assert!(r.ods_on_link(l).contains(&k));
-            }
-        }
-    }
-
-    #[test]
     fn covered_links_union() {
         let t = geant();
         let ods = janet_ods(&t);
@@ -301,38 +228,30 @@ mod tests {
     }
 
     #[test]
-    fn link_index_matches_dense_queries() {
+    fn rows_are_sorted_and_sum_to_nnz() {
         let t = geant();
         let ods = janet_ods(&t);
         let r = RoutingMatrix::build(&t, &ods);
-        let idx = r.link_index();
-        assert_eq!(idx.num_links(), r.num_links());
-        for l in (0..r.num_links()).map(LinkId::from_index) {
-            let inverted: Vec<usize> = idx.ods_on_link(l).iter().map(|&(k, _)| k).collect();
-            assert_eq!(inverted, r.ods_on_link(l), "link {l:?}");
-            for &(k, f) in idx.ods_on_link(l) {
-                assert_eq!(f, r.entry(k, l), "od {k} link {l:?}");
+        let mut total = 0;
+        for k in 0..r.num_ods() {
+            let row = r.row(k);
+            assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row {k} unsorted");
+            for &(l, f) in row {
+                assert_eq!(f, r.entry(k, l));
             }
+            total += row.len();
         }
+        assert_eq!(r.nnz(), total);
     }
 
     #[test]
-    fn link_index_nnz_counts_traversals() {
+    #[should_panic(expected = "link index")]
+    fn entry_rejects_out_of_range_link() {
+        // Row 0 of 4: a link one past the last must not read row 1.
         let t = geant();
         let ods = janet_ods(&t);
         let r = RoutingMatrix::build(&t, &ods);
-        let expected: usize = (0..r.num_ods()).map(|k| r.links_of_od(k).len()).sum();
-        assert_eq!(r.link_index().nnz(), expected);
-    }
-
-    #[test]
-    fn link_index_of_empty_matrix() {
-        let t = geant();
-        let r = RoutingMatrix::build(&t, &[]);
-        let idx = r.link_index();
-        assert_eq!(idx.nnz(), 0);
-        assert_eq!(idx.num_links(), t.num_links());
-        assert!(idx.ods_on_link(LinkId::from_index(0)).is_empty());
+        let _ = r.entry(0, LinkId::from_index(r.num_links()));
     }
 
     #[test]

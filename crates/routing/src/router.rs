@@ -2,7 +2,8 @@
 
 use crate::{OdPair, Path, Spf};
 use nws_topo::{LinkId, NodeId, Topology};
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A network-wide routing view: lazily computes and caches one [`Spf`] per
 /// source node, and answers path / ECMP-split queries for OD pairs.
@@ -12,7 +13,8 @@ use std::collections::HashMap;
 /// mirroring how a real control plane reconverges.
 pub struct Router<'t> {
     topo: &'t Topology,
-    cache: std::cell::RefCell<HashMap<NodeId, std::rc::Rc<Spf>>>,
+    /// One slot per node, filled on first use as a source.
+    cache: RefCell<Vec<Option<Rc<Spf>>>>,
 }
 
 impl<'t> Router<'t> {
@@ -20,7 +22,7 @@ impl<'t> Router<'t> {
     pub fn new(topo: &'t Topology) -> Self {
         Router {
             topo,
-            cache: std::cell::RefCell::new(HashMap::new()),
+            cache: RefCell::new(vec![None; topo.num_nodes()]),
         }
     }
 
@@ -30,15 +32,11 @@ impl<'t> Router<'t> {
     }
 
     /// The (cached) SPF DAG from `source`.
-    pub fn spf(&self, source: NodeId) -> std::rc::Rc<Spf> {
-        if let Some(spf) = self.cache.borrow().get(&source) {
-            return std::rc::Rc::clone(spf);
-        }
-        let spf = std::rc::Rc::new(Spf::compute(self.topo, source));
-        self.cache
-            .borrow_mut()
-            .insert(source, std::rc::Rc::clone(&spf));
-        spf
+    pub fn spf(&self, source: NodeId) -> Rc<Spf> {
+        Rc::clone(
+            self.cache.borrow_mut()[source.index()]
+                .get_or_insert_with(|| Rc::new(Spf::compute(self.topo, source))),
+        )
     }
 
     /// The deterministic (lowest-link-id tie-break) shortest path for `od`;
@@ -58,57 +56,61 @@ impl<'t> Router<'t> {
     /// The fraction of `od`'s traffic carried by each link under even ECMP
     /// splitting (OSPF/IS-IS style: at each node, split evenly across
     /// equal-cost next hops). Returns `(link, fraction)` pairs with
-    /// fractions in `(0, 1]`; unique paths yield all-1 fractions.
+    /// fractions in `(0, 1]`, in link-id order; unique paths yield all-1
+    /// fractions.
     ///
     /// Returns an empty vector if the destination is unreachable or
     /// `od.src == od.dst`.
     pub fn ecmp_fractions(&self, od: OdPair) -> Vec<(LinkId, f64)> {
+        let mut out = Vec::new();
+        self.append_ecmp_fractions(od, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// Appends [`Router::ecmp_fractions`]`(od)` to `out`. `node_share` is
+    /// scratch, so building many rows reuses one buffer.
+    pub(crate) fn append_ecmp_fractions(
+        &self,
+        od: OdPair,
+        node_share: &mut Vec<f64>,
+        out: &mut Vec<(LinkId, f64)>,
+    ) {
         let spf = self.spf(od.src);
-        if od.src == od.dst || spf.distance(od.dst).is_none() {
-            return Vec::new();
-        }
+        let Some(dst_distance) = spf.distance(od.dst).filter(|_| od.src != od.dst) else {
+            return;
+        };
         // Walk the shortest-path DAG backwards from the destination,
         // distributing the destination's unit of traffic across incoming
         // shortest-path links. `node_share[v]` is the fraction of traffic
         // that flows *through* node v; it splits evenly over v's parents.
         //
         // Processing order: decreasing distance from the source guarantees a
-        // node is finalized before its parents receive its share.
-        let mut nodes: Vec<NodeId> = self
-            .topo
-            .node_ids()
-            .filter(|&v| spf.distance(v).is_some())
-            .collect();
-        nodes.sort_by(|&a, &b| {
-            let (da, db) = (spf.distance(a).unwrap(), spf.distance(b).unwrap());
-            db.partial_cmp(&da).expect("finite distances")
-        });
-
-        let mut node_share: HashMap<NodeId, f64> = HashMap::new();
-        node_share.insert(od.dst, 1.0);
-        let mut link_frac: HashMap<LinkId, f64> = HashMap::new();
-
-        for v in nodes {
-            let share = match node_share.get(&v) {
-                Some(&s) if s > 0.0 => s,
-                _ => continue,
-            };
-            if v == od.src {
+        // node is finalized before its parents receive its share. A link
+        // enters the DAG only as a parent of its own head node, which is
+        // visited once, so every link is pushed at most once and needs no
+        // accumulator of its own. Nodes farther than the destination come
+        // before it and carry none of its traffic, so the walk starts at
+        // the destination's distance.
+        node_share.clear();
+        node_share.resize(self.topo.num_nodes(), 0.0);
+        node_share[od.dst.index()] = 1.0;
+        let order = spf.by_decreasing_distance();
+        let first = order.partition_point(|&v| spf.distance(v) > Some(dst_distance));
+        let start = out.len();
+        for &v in &order[first..] {
+            let share = node_share[v.index()];
+            if share <= 0.0 || v == od.src {
                 continue;
             }
             let parents = spf.shortest_path_parents(v);
             debug_assert!(!parents.is_empty(), "reachable non-source node has parents");
             let per = share / parents.len() as f64;
             for &l in parents {
-                *link_frac.entry(l).or_insert(0.0) += per;
-                let u = self.topo.link(l).src();
-                *node_share.entry(u).or_insert(0.0) += per;
+                out.push((l, per));
+                node_share[self.topo.link(l).src().index()] += per;
             }
         }
-
-        let mut out: Vec<(LinkId, f64)> = link_frac.into_iter().collect();
-        out.sort_by_key(|&(l, _)| l);
-        out
+        out[start..].sort_unstable_by_key(|&(l, _)| l);
     }
 }
 

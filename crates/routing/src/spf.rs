@@ -48,6 +48,9 @@ pub struct Spf {
     /// For each node, incoming links on shortest paths, sorted by link id for
     /// deterministic tie-breaks.
     parents: Vec<Vec<LinkId>>,
+    /// Reachable nodes by decreasing distance (ties in node-id order): the
+    /// order in which an ECMP walk finalizes a node before its parents.
+    by_decreasing_distance: Vec<NodeId>,
 }
 
 impl Spf {
@@ -91,10 +94,21 @@ impl Spf {
         for p in &mut parents {
             p.sort();
         }
+        let mut by_decreasing_distance: Vec<NodeId> = topo
+            .node_ids()
+            .filter(|v| dist[v.index()].is_finite())
+            .collect();
+        // Stable: equal distances keep node-id order.
+        by_decreasing_distance.sort_by(|a, b| {
+            dist[b.index()]
+                .partial_cmp(&dist[a.index()])
+                .expect("finite distances")
+        });
         Spf {
             source,
             dist,
             parents,
+            by_decreasing_distance,
         }
     }
 
@@ -113,6 +127,14 @@ impl Spf {
     /// source (empty for the source itself and for unreachable nodes).
     pub fn shortest_path_parents(&self, node: NodeId) -> &[LinkId] {
         &self.parents[node.index()]
+    }
+
+    /// The reachable nodes (the source included) by decreasing distance,
+    /// equal distances in node-id order. Walking the shortest-path DAG in
+    /// this order visits every node before any of its shortest-path parents
+    /// (when IGP weights are positive).
+    pub(crate) fn by_decreasing_distance(&self) -> &[NodeId] {
+        &self.by_decreasing_distance
     }
 
     /// True if the shortest path from the source to `node` is unique
@@ -196,6 +218,15 @@ mod tests {
         let p = spf.path_to(&t, d).unwrap();
         assert_eq!(p.len(), 2);
         assert_eq!(t.link(p[0]).dst(), bb);
+    }
+
+    #[test]
+    fn reachable_nodes_by_decreasing_distance() {
+        let (t, [a, bb, c, d]) = diamond_unequal();
+        // B and C tie at distance 1 and keep node-id order.
+        assert_eq!(Spf::compute(&t, a).by_decreasing_distance(), [d, bb, c, a]);
+        // From D nothing else is reachable.
+        assert_eq!(Spf::compute(&t, d).by_decreasing_distance(), [d]);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 #   eval   objective-evaluation micro-benchmark (--quick) producing
 #          BENCH_eval.json, then scripts/check_bench.py enforcing the
 #          blocking perf gates (obs overhead <= 1.05, fused-kernel win,
-#          line-probe win) plus the committed structural baselines.
+#          line-probe win) plus the committed structural baselines
+#          (including each case's routing-matrix nnz pin).
 #   replay scenario-engine accuracy sweep: generate the bench trace, replay
 #          it at budgets 1/4/12 in reactive and forecast modes producing
 #          BENCH_replay.json, double-run determinism check, then
@@ -48,8 +49,8 @@ stage_eval() {
     echo "bench smoke OK: $(pwd)/BENCH_eval.json"
     # Perf gates: schema, obs overhead (<= 1.05), fused-kernel win,
     # line-restriction probe win, and
-    # structural baselines (instance shapes, solver iteration counts,
-    # banded timings). Blocking in CI.
+    # structural baselines (instance shapes, routing-matrix nnz pins,
+    # solver iteration counts, banded timings). Blocking in CI.
     python3 scripts/check_bench.py BENCH_eval.json
 }
 

@@ -67,9 +67,11 @@ For eval reports, checks in order:
     each case must match exactly — instance drift silently invalidates every
     committed number — as must each solver case's iteration count (the
     serial solve is deterministic, so a drift means the iterate path
-    changed), and timing fields are compared within a wide
-    tolerance band (quick mode on shared CI runners jitters; the band only
-    catches order-of-magnitude regressions).
+    changed) and each routing case's routing-matrix nnz (the stored
+    (link, fraction) entries: a drift means routing itself changed), and
+    timing fields are compared within a wide tolerance band (quick mode on
+    shared CI runners jitters; the band only catches order-of-magnitude
+    regressions).
 
 Exit code 0 = all gates pass. Nonzero prints every failure, not just the
 first.
@@ -107,6 +109,7 @@ EVAL_FIELDS = (
 FUSED_FIELDS = ("name", "model", "separate_ms", "fused_ms", "fusion_gain")
 PROBE_FIELDS = ("name", "model", "csr_probe_ms", "restricted_probe_ms",
                 "setup_ms", "probe_gain")
+ROUTING_FIELDS = ("name", "num_ods", "nnz", "task_build_ms")
 SOLVER_FIELDS = ("name", "num_ods", "solve_ms", "iterations", "objective")
 
 failures = []
@@ -122,7 +125,7 @@ def finite_positive(xs):
 
 def check_schema(report):
     for key in ("bench", "quick", "available_cores", "obs",
-                "eval_cases", "fused", "line_probe", "solver_cases"):
+                "eval_cases", "fused", "line_probe", "routing", "solver_cases"):
         if key not in report:
             fail(f"schema: missing top-level key {key!r}")
     if failures:
@@ -161,6 +164,19 @@ def check_schema(report):
             x = case.get(key, -1)
             if not finite_positive([x]):
                 fail(f"schema: line_probe {case.get('name', '?')}.{key} malformed: {x}")
+    routing_cases = {c.get("name") for c in report["routing"]}
+    for case in report["eval_cases"]:
+        if case.get("name") not in routing_cases:
+            fail(f"schema: eval case {case.get('name', '?')} has no routing entry")
+    for case in report["routing"]:
+        for key in ROUTING_FIELDS:
+            if key not in case:
+                fail(f"schema: routing case {case.get('name', '?')} missing {key!r}")
+        if not finite_positive([case.get("task_build_ms", -1)]):
+            fail(f"schema: routing {case.get('name', '?')}.task_build_ms not finite-positive")
+        nnz = case.get("nnz")
+        if not (isinstance(nnz, int) and nnz > 0):
+            fail(f"schema: routing {case.get('name', '?')}.nnz malformed: {nnz}")
     for case in report["solver_cases"]:
         for key in SOLVER_FIELDS:
             if key not in case:
@@ -203,6 +219,11 @@ def structure_of(report):
             }
             for c in report["eval_cases"]
         ],
+        "routing_cases": [
+            {"name": c["name"], "num_ods": c["num_ods"], "nnz": c["nnz"],
+             "task_build_ms": c["task_build_ms"]}
+            for c in report["routing"]
+        ],
         "solver_cases": [
             {"name": c["name"], "num_ods": c["num_ods"], "iterations": c["iterations"],
              "solve_ms": c["solve_ms"]}
@@ -217,7 +238,7 @@ def check_baselines(report):
         return
     base = json.loads(BASELINES.read_text())
     cur = structure_of(report)
-    for section in ("eval_cases", "solver_cases"):
+    for section in ("eval_cases", "routing_cases", "solver_cases"):
         by_key = {(c["name"], c.get("model")): c for c in base.get(section, [])}
         for c in cur[section]:
             key = (c["name"], c.get("model"))
@@ -232,7 +253,7 @@ def check_baselines(report):
             if "iterations" in ref and ref["iterations"] != c["iterations"]:
                 fail(f"baselines: {key} iterations drifted {ref['iterations']} -> "
                      f"{c['iterations']} — the solver's iterate path changed")
-            for field in ("gradient_ms", "solve_ms"):
+            for field in ("gradient_ms", "task_build_ms", "solve_ms"):
                 if field in ref and ref[field] > 0:
                     r = c[field] / ref[field]
                     if r > TIMING_BAND or r < 1.0 / TIMING_BAND:
@@ -610,6 +631,7 @@ def main():
     print(f"check_bench: all perf gates pass "
           f"({len(report['eval_cases'])} eval, {len(report['fused'])} fused, "
           f"{len(report['line_probe'])} line_probe, "
+          f"{len(report['routing'])} routing, "
           f"{len(report['solver_cases'])} solver cases; "
           f"obs ratio {report['obs']['overhead_ratio']:.4f})")
     return 0
